@@ -10,11 +10,13 @@ stack with the same *interfaces and mechanisms*:
 - :mod:`repro.energy.rapl` — powercap-style energy counter zones that
   integrate power over a virtual clock;
 - :mod:`repro.energy.papi` — a PAPI-like monitor that samples those zones at
-  a fixed interval, reproducing the paper's discrete sum E = sum P(t_i) dt;
+  a fixed interval, the paper's discrete sum E = sum P(t_i) dt, kept as the
+  reference for the meter;
 - :mod:`repro.energy.throughput` — the calibrated codec performance model
   that supplies phase durations (see DESIGN.md for calibration constants);
 - :mod:`repro.energy.measurement` — the user-facing
-  :class:`~repro.energy.measurement.EnergyMeter`.
+  :class:`~repro.energy.measurement.EnergyMeter`, which integrates each
+  constant-power phase in one pass, bit-identical to that discrete sum.
 """
 
 from repro.energy.cpus import CPUS, CPUSpec, get_cpu

@@ -1,10 +1,17 @@
-"""Front-end energy meter: run workload phases through RAPL/PAPI, get joules.
+"""Front-end energy meter: integrate workload phases into RAPL joules.
 
 :class:`EnergyMeter` is what the experiment drivers use: describe a workload
 as :class:`Phase` segments (duration, active cores, CPU activity), and the
-meter plays them through a fresh :class:`~repro.energy.rapl.SimulatedRapl`
-sampled by a :class:`~repro.energy.papi.PapiPowercapMonitor`, returning an
-:class:`EnergyReport` with the discrete-sampled energy the paper reports.
+meter returns an :class:`EnergyReport` with the energy the paper reports.
+
+Power is constant within a phase, so the meter integrates each phase in one
+pass: every full sampling tick deposits the same rounded microjoule count
+into each package counter, and only the ticks are counted.  The result is
+bit-identical to playing the phases through a fresh
+:class:`~repro.energy.rapl.SimulatedRapl` sampled tick by tick by a
+:class:`~repro.energy.papi.PapiPowercapMonitor` — the PAPI discrete sum
+``E = Σ P(t_i) Δt`` of Section IV-B, which the tests use as the reference.
+``EnergyReport.n_samples`` still counts those ticks (plus the start read).
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.energy.cpus import CPUSpec
-from repro.energy.papi import PapiPowercapMonitor
 from repro.energy.power import PowerModel
-from repro.energy.rapl import SimulatedRapl
+from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, RaplZone
 from repro.errors import ConfigurationError
+from repro.obs.trace import active_tracer
 
 __all__ = ["Phase", "Interval", "compose_phases", "EnergyReport", "EnergyMeter"]
 
@@ -133,8 +140,15 @@ class EnergyReport:
         )
 
 
+def _tick_uj(joules: float) -> int:
+    """One tick's counter increment, rounded as ``RaplZone.deposit`` does."""
+    if joules < 0:
+        raise ConfigurationError("cannot deposit negative energy")
+    return round(joules * 1e6)
+
+
 class EnergyMeter:
-    """Plays phases through a simulated RAPL node and reports joules."""
+    """Integrates phases into simulated RAPL package counters, in joules."""
 
     def __init__(
         self,
@@ -149,25 +163,68 @@ class EnergyMeter:
         self.power_model = PowerModel(cpu, alpha=alpha, freq_ghz=freq_ghz)
 
     def measure(self, phases: list[Phase]) -> EnergyReport:
-        """Run the phases on a fresh node and return the energy report."""
-        rapl = SimulatedRapl(self.cpu, self.power_model)
-        monitor = PapiPowercapMonitor(rapl, sample_interval=self.sample_interval)
-        before = rapl.read_uj()
-        monitor.start()
-        for ph in phases:
-            monitor.run_phase(ph.duration_s, ph.active_cores, ph.activity)
-        total = monitor.stop()
-        after = rapl.read_uj()
-        zones = tuple(
-            # Per-zone deltas (wrap-aware) for Eq. 6 style reporting.
-            rapl.zones[i].delta(before[i], after[i], rapl.zones[i].max_energy_range_uj)
-            for i in range(len(rapl.zones))
+        """Measure the phases on a fresh node and return the energy report.
+
+        Under an active tracer the call is a wall-clock ``energy:measure``
+        span, and its ticks count towards the ``energy.meter.steps`` metric.
+        """
+        tracer = active_tracer()
+        if tracer is None:
+            return self._integrate(phases)
+        t0 = tracer.now()
+        report = self._integrate(phases)
+        steps = report.n_samples - 1
+        tracer.add_span(
+            "energy:measure", "energy", t0, tracer.now(), clock="wall",
+            phases=len(phases), steps=steps,
         )
+        tracer.metrics.counter("energy.meter.steps").inc(steps)
+        return report
+
+    def _integrate(self, phases: list[Phase]) -> EnergyReport:
+        """One pass per phase, equal to sampling it every ``sample_interval``.
+
+        The float clock is still stepped tick by tick, exactly as the
+        sampling monitor advances it, so ``runtime_s`` is bit-exact; each
+        package counter then takes ``k`` identical full-tick deposits plus
+        the final partial one, wrapped like the hardware counter.
+        """
+        interval = self.sample_interval
+        power = self.power_model.package_power
+        wrap = DEFAULT_MAX_ENERGY_RANGE_UJ
+        counters = [0] * self.cpu.sockets
+        now = 0.0
+        ticks = 0
+        for ph in phases:
+            if ph.duration_s < 0:
+                raise ConfigurationError("phase duration must be non-negative")
+            remaining = ph.duration_s
+            full = 0
+            # The 1e-12 floor stops float drift from minting a phantom tick.
+            while remaining > 1e-12 and remaining >= interval:
+                now += interval
+                remaining -= interval
+                full += 1
+            partial = remaining if remaining > 1e-12 else 0.0
+            n = full + (1 if partial else 0)
+            if not n:
+                continue
+            now += partial
+            ticks += n
+            for p, counter in enumerate(counters):
+                watts = power(p, ph.active_cores, ph.activity)
+                deposit = 0
+                if full:
+                    deposit += full * _tick_uj(watts * interval)
+                if partial:
+                    deposit += _tick_uj(watts * partial)
+                counters[p] = (counter + deposit) % wrap
+        zones = tuple(RaplZone.delta(0, c, wrap) for c in counters)
         return EnergyReport(
-            runtime_s=monitor.elapsed,
-            energy_j=total,
+            runtime_s=now,
+            energy_j=sum(zones),
             zone_energies_j=zones,
-            n_samples=len(monitor.samples),
+            n_samples=ticks + 1,
         )
 
     def measure_compute(

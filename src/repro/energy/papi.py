@@ -1,11 +1,15 @@
 """PAPI-powercap-style sampling monitor over the simulated RAPL zones.
 
 Section IV-B: energy is reported as the discrete sum ``E = Σ P(t_i) Δt`` of
-sampled power readings.  :class:`PapiPowercapMonitor` reproduces that
-measurement loop: it steps the virtual clock in fixed ``sample_interval``
-increments across each workload phase, reading the counters at every tick,
-so the reported energy inherits the same discretization the paper's numbers
-have (the final partial interval is sampled too, as PAPI's stop() does).
+sampled power readings.  :class:`PapiPowercapMonitor` is that measurement
+loop, literally: it steps the virtual clock in fixed ``sample_interval``
+increments across each workload phase, reading the counters at every tick
+(the final partial interval is sampled too, as PAPI's stop() does).
+
+:class:`~repro.energy.measurement.EnergyMeter` does not run this loop; it
+integrates each constant-power phase in one pass.  This monitor is the
+reference the tests compare the meter against, field for field, and its
+tick count is what ``EnergyReport.n_samples`` still reports.
 """
 
 from __future__ import annotations

@@ -22,13 +22,16 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cluster.events import EventLoop, Process
 from repro.energy.measurement import Interval
 from repro.errors import SimulationError
 from repro.obs.trace import active_tracer
 from repro.workloads.checkpoint import CheckpointSpec
 from repro.workloads.failures import FailureTimeline
+
+if TYPE_CHECKING:
+    from repro.cluster.events import EventLoop, Process
 
 __all__ = [
     "LifecycleStats",
@@ -233,7 +236,11 @@ def run_lifecycle(
     emitted as virtual spans on that track after the run (tracing never
     perturbs the simulation).
     """
-    loop = loop or EventLoop()
+    if loop is None:
+        # Deferred: the repro.cluster package imports this module.
+        from repro.cluster.events import EventLoop
+
+        loop = EventLoop()
     proc: Process = loop.spawn(
         lifecycle_process(
             loop,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.energy import (
     CPUS,
@@ -12,8 +14,8 @@ from repro.energy import (
     get_cpu,
 )
 from repro.energy.cpus import PAPER_CPUS
-from repro.energy.measurement import Phase
-from repro.energy.rapl import RaplZone
+from repro.energy.measurement import EnergyReport, Phase
+from repro.energy.rapl import DEFAULT_MAX_ENERGY_RANGE_UJ, RaplZone
 from repro.errors import ConfigurationError
 
 
@@ -306,3 +308,116 @@ class TestComposePhasesConservation:
         a = Interval(0.0, 1.0, 2, 0.5, "a")
         z = Interval(0.5, 0.5, 7, 1.0, "z")
         assert compose_phases([a, z]) == compose_phases([a])
+
+
+def sampled_reference(meter: EnergyMeter, phases) -> EnergyReport:
+    """The PAPI discrete sum, tick by tick: a fresh RAPL node sampled by the
+    powercap monitor every ``meter.sample_interval``.  The meter's one-pass
+    integration must equal this in every field."""
+    rapl = SimulatedRapl(meter.cpu, meter.power_model)
+    monitor = PapiPowercapMonitor(rapl, sample_interval=meter.sample_interval)
+    before = rapl.read_uj()
+    monitor.start()
+    for ph in phases:
+        monitor.run_phase(ph.duration_s, ph.active_cores, ph.activity)
+    total = monitor.stop()
+    after = rapl.read_uj()
+    zones = tuple(
+        zone.delta(b, a, zone.max_energy_range_uj)
+        for zone, b, a in zip(rapl.zones, before, after)
+    )
+    return EnergyReport(
+        runtime_s=monitor.elapsed,
+        energy_j=total,
+        zone_energies_j=zones,
+        n_samples=len(monitor.samples),
+    )
+
+
+#: 10 ms is the testbed default and 20 ms the cluster default; 1 ms is a
+#: fine interval and 15 ms one that splits round durations unevenly.
+SAMPLE_INTERVALS = (0.001, 0.010, 0.015, 0.020)
+
+
+@st.composite
+def meters(draw, intervals=SAMPLE_INTERVALS):
+    """An EnergyMeter over the CPU catalogue, unpinned or pinned at fmin/fmax."""
+    cpu = CPUS[draw(st.sampled_from(sorted(CPUS)))]
+    freq = draw(st.sampled_from((None, cpu.fmin_ghz, cpu.fmax_ghz)))
+    interval = draw(st.sampled_from(intervals))
+    return EnergyMeter(cpu, sample_interval=interval, freq_ghz=freq)
+
+
+@st.composite
+def phase_lists(draw, meter: EnergyMeter, max_size: int = 6):
+    dt = meter.sample_interval
+    duration = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-12),  # below the phantom-tick floor
+        st.integers(1, 60).map(lambda k: k * dt),  # exact multiples
+        st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    phase = st.builds(
+        Phase,
+        duration,
+        st.integers(0, meter.cpu.cores),
+        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+    )
+    return draw(st.lists(phase, max_size=max_size))
+
+
+class TestMeterMatchesSampledReference:
+    """The one-pass meter against the tick-by-tick PAPI discrete sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equal_in_every_field(self, data):
+        meter = data.draw(meters())
+        phases = data.draw(phase_lists(meter))
+        assert meter.measure(phases) == sampled_reference(meter, phases)
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.data())
+    def test_equal_across_counter_wrap(self, data):
+        """A full-load phase long enough to wrap every zone counter (the
+        reference takes ~50k ticks for it, hence the coarse intervals)."""
+        meter = data.draw(meters(intervals=(0.015, 0.020)))
+        cpu = meter.cpu
+        # All cores busy, so every package draws ``watts``.
+        watts = meter.power_model.package_power(0, cpu.cores)
+        wrap_s = DEFAULT_MAX_ENERGY_RANGE_UJ / 1e6 / watts
+        long = Phase(wrap_s * data.draw(st.floats(1.01, 1.2)), cpu.cores)
+        phases = [*data.draw(phase_lists(meter, max_size=2)), long,
+                  *data.draw(phase_lists(meter, max_size=2))]
+        report = meter.measure(phases)
+        assert report == sampled_reference(meter, phases)
+        # Every zone wrapped: it reads less than the long phase deposited.
+        assert max(report.zone_energies_j) < watts * long.duration_s
+
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            Phase(-0.5, 1),
+            Phase(-1e-15, 0),
+            Phase(0.05, -1),
+            Phase(0.05, 10_000),
+            Phase(0.05, 4, -0.1),
+            Phase(0.05, 4, 1.5),
+            Phase(1e-13, 10_000),  # sub-floor: no tick, so no power read
+            Phase(0.0, 4, 1.5),
+        ],
+    )
+    @pytest.mark.parametrize("cpu", sorted(CPUS))
+    def test_error_parity(self, phase, cpu):
+        meter = EnergyMeter(get_cpu(cpu))
+        phases = [Phase(0.03, 2, 0.5), phase]
+
+        def outcome(measure):
+            try:
+                return measure(phases)
+            except ConfigurationError:
+                return ConfigurationError
+
+        assert outcome(meter.measure) == outcome(
+            lambda ph: sampled_reference(meter, ph)
+        )

@@ -303,7 +303,18 @@ class TestEngineIntegration:
 
     def test_disabled_tracer_changes_nothing(self, testbed, tmp_path):
         """The paramount contract: tracing on/off is invisible in artifacts."""
-        spec = SweepSpec(kind="quality", **SMALL)
+        quality = SweepSpec(kind="quality", **SMALL)
+        # Lifecycles, pipelined writes and the energy meter's wall spans.
+        checkpoint = SweepSpec(
+            kind="checkpoint", datasets=("cesm",), codecs=("szx",),
+            bounds=(1e-2,), io_libraries=("hdf5",),
+            mttfs=(float("inf"), 14400.0), work_s=900.0, n_nodes=4, n_chunks=1,
+        )
+        for spec in (quality, checkpoint):
+            self._check_tracing_invisible(testbed, tmp_path / spec.kind, spec)
+
+    @staticmethod
+    def _check_tracing_invisible(testbed, tmp_path, spec):
         plain = SweepEngine(
             testbed=testbed, store=ResultStore(cache_dir=tmp_path / "off")
         ).run(spec)
@@ -312,6 +323,8 @@ class TestEngineIntegration:
                 testbed=testbed, store=ResultStore(cache_dir=tmp_path / "on")
             ).run(spec)
         assert len(tracer.spans) > 0
+        if spec.kind == "checkpoint":
+            assert any(s.name == "energy:measure" for s in tracer.spans)
         assert plain == traced
         # identical store keys AND identical bytes on disk
         off = sorted(p.name for p in (tmp_path / "off").glob("*.json"))
@@ -325,6 +338,25 @@ class TestEngineIntegration:
         before = len(tracer.spans)
         SweepEngine(testbed=testbed, store=ResultStore()).run(spec)
         assert len(tracer.spans) == before
+
+
+class TestMeterInstrumentation:
+    def test_measure_span_and_steps_counter(self):
+        from repro.energy import EnergyMeter, get_cpu
+        from repro.energy.measurement import Phase
+
+        meter = EnergyMeter(get_cpu("plat8160"), sample_interval=0.01)
+        phases = [Phase(0.1, 48), Phase(0.0, 0), Phase(0.025, 4, 0.5)]
+        plain = meter.measure(phases)
+        with tracing() as tracer:
+            traced = meter.measure(phases)
+            meter.measure_compute(0.05, 8)
+        assert traced == plain
+        first, second = [s for s in tracer.spans if s.name == "energy:measure"]
+        assert first.clock == "wall" and first.track == "energy"
+        assert first.args == {"phases": 3, "steps": 13}  # 10 + 0 + 3 ticks
+        assert second.args == {"phases": 1, "steps": 5}
+        assert tracer.metrics.snapshot()["energy.meter.steps"] == 18
 
 
 class TestVirtualInstrumentation:
