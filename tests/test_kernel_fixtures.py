@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from zfp_reference import reference_decompress
 
 from repro.compressors import get_compressor
 from repro.compressors.bitstream import BitReader, BitWriter, pack_bits, unpack_bits
@@ -100,6 +101,10 @@ class TestZFPFrozenStreams:
             span = float(arr.max() - arr.min())
             bound = rel * (span if span > 0 else 1.0)
             assert np.abs(recon - arr).max() <= bound * (1 + 1e-9), name
+            # Bit-exact against the scalar reference decoder.
+            _, shape, dtype, _, abs_bound, _, payload = comp._unpack_header(blob)
+            ref = reference_decompress(payload, shape, abs_bound)
+            assert recon.tobytes() == np.asarray(ref, dtype=dtype).tobytes(), name
 
 
 class TestVectorizedAgainstScalarSemantics:
