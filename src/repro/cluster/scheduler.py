@@ -35,6 +35,7 @@ documented in ``docs/user-guide/cluster.md``).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -525,9 +526,11 @@ def _run_schedule(
         backfilled[name] = backfill
         # Reservation bookkeeping sees the fixed walltime estimate.
         running[name] = loop.now + by_name[name].est_s
+        bisect.insort(reservations, (running[name], name))
         grants[name].fire()
 
     running: dict[str, float] = {}  # name -> estimated end, for reservations
+    reservations: list[tuple[float, str]] = []  # (end, name), kept sorted
 
     def try_schedule():
         progress = True
@@ -544,7 +547,7 @@ def _run_schedule(
             avail = state["free"]
             shadow = None
             extra = 0
-            for end, name in sorted((running[n], n) for n in running):
+            for end, name in reservations:
                 avail += alloc[name]
                 if avail >= alloc[head]:
                     shadow = end
@@ -583,7 +586,7 @@ def _run_schedule(
         if drain > 0:
             yield drain
         state["free"] += alloc[name]
-        running.pop(name, None)
+        reservations.remove((running.pop(name), name))
         notify()
 
     def sched_proc():

@@ -9,7 +9,9 @@ DEFLATE pass.  This module implements a canonical Huffman code:
 - a compact header storing only the symbol list and code lengths,
 - vectorized encoding through :func:`repro.compressors.bitstream.pack_bits`,
 - fully vectorized decoding: a :data:`PEEK_BITS`-bit window is gathered at
-  *every* candidate bit offset of the word-packed payload, decoded
+  *every* candidate bit offset of the word-packed payload (in blocks of
+  :data:`DECODE_BLOCK_BITS` offsets, so memory stays a few bytes per
+  payload bit), decoded
   speculatively through the lookup table (with a per-length canonical search
   for the rare codes longer than :data:`PEEK_BITS`), and the true symbol
   boundaries are then recovered by pointer-doubling over the resulting
@@ -34,6 +36,8 @@ __all__ = ["HuffmanCodec", "huffman_encode", "huffman_decode"]
 
 MAX_CODE_LENGTH = 32
 PEEK_BITS = 12
+#: Bit offsets decoded per block; bounds the decoder's window temporaries.
+DECODE_BLOCK_BITS = 1 << 16
 
 _HEADER = struct.Struct("<IHI")  # n_symbols_encoded, n_distinct, payload_bits
 
@@ -138,6 +142,90 @@ def _build_peek_table(
     return table_idx, table_len
 
 
+def _decode_offsets(
+    words: np.ndarray,
+    b0: int,
+    b1: int,
+    total_bits: int,
+    sorted_lens: np.ndarray,
+    codes: np.ndarray,
+    table_idx: np.ndarray,
+    table_len: np.ndarray,
+    idx_at: np.ndarray,
+    len_at: np.ndarray,
+    nxt: np.ndarray,
+) -> None:
+    """Decode one symbol speculatively at each bit offset in ``[b0, b1)``.
+
+    Gathers a 64-bit window per offset from the word-packed payload,
+    classifies the top PEEK_BITS through the lookup table, and resolves the
+    rare long-code escapes with a vectorized per-length canonical search.
+    Writes the sorted-symbol index (-1 if invalid), code length and
+    successor offset (clipped to ``total_bits``) into the output slices.
+    """
+    pos = np.arange(b0, b1, dtype=np.int64)
+    wi = pos >> 6
+    boff = (pos & 63).astype(np.uint64)
+    win64 = words[wi] << boff
+    np.bitwise_or(
+        win64,
+        np.where(
+            boff > 0,
+            words[wi + 1] >> ((np.uint64(64) - boff) & np.uint64(63)),
+            np.uint64(0),
+        ),
+        out=win64,
+    )
+    peek = (win64 >> np.uint64(64 - PEEK_BITS)).astype(np.intp)
+    idx = table_idx[peek]
+    ln_at = table_len[peek]
+
+    escapes = np.flatnonzero(idx < 0)
+    if escapes.size:
+        # Ascending-length first-match mirrors the scalar slow path.
+        esc_win = win64[escapes]
+        unresolved = np.ones(escapes.size, dtype=bool)
+        for ln in np.unique(sorted_lens):
+            ln = int(ln)
+            if ln <= PEEK_BITS or ln > MAX_CODE_LENGTH:
+                continue
+            lo = int(np.searchsorted(sorted_lens, ln, side="left"))
+            hi = int(np.searchsorted(sorted_lens, ln, side="right"))
+            cand = np.flatnonzero(unresolved)
+            if cand.size == 0:
+                break
+            code = (esc_win[cand] >> np.uint64(64 - ln)).astype(np.int64)
+            delta = code - int(codes[lo])
+            ok = (
+                (delta >= 0)
+                & (delta < hi - lo)
+                & (b0 + escapes[cand] + ln <= total_bits)
+            )
+            hit = cand[ok]
+            idx[escapes[hit]] = (lo + delta[ok]).astype(np.int32)
+            ln_at[escapes[hit]] = ln
+            unresolved[hit] = False
+
+    idx_at[:] = idx
+    len_at[:] = ln_at
+    nxt[:] = np.where(idx >= 0, np.minimum(pos + ln_at, total_bits), total_bits)
+
+
+def _compose(adv: np.ndarray) -> np.ndarray:
+    """``adv[adv]``, gathered in blocks of DECODE_BLOCK_BITS.
+
+    Indexing with a whole ``int32`` array makes numpy cast it to ``intp``
+    through a small internal buffer, about twice as slow per round on a
+    multi-Mbit payload as casting one block at a time and gathering with
+    the ``intp`` block.
+    """
+    out = np.empty_like(adv)
+    for b0 in range(0, adv.size, DECODE_BLOCK_BITS):
+        b1 = b0 + DECODE_BLOCK_BITS
+        out[b0:b1] = adv[adv[b0:b1].astype(np.intp)]
+    return out
+
+
 class HuffmanCodec:
     """Encode/decode integer symbol arrays with a canonical Huffman code."""
 
@@ -236,77 +324,47 @@ class HuffmanCodec:
         if total_bits < payload_bits:
             raise DecompressionError("huffman payload truncated")
 
-        # Speculative decode at *every* bit offset: gather a 64-bit window
-        # per offset from the word-packed payload, classify the top
-        # PEEK_BITS through the lookup table, and resolve the rare long-code
-        # escapes with a vectorized per-length canonical search.
+        # Speculative decode at *every* bit offset, in blocks of
+        # DECODE_BLOCK_BITS offsets so the window temporaries stay bounded:
+        # only the per-offset symbol index, code length and successor arrays
+        # span the whole payload.
         table_idx, table_len = _build_peek_table(sorted_lens, codes)
         words = _words_from_bytes(payload)
-        pos = np.arange(total_bits, dtype=np.int64)
-        wi = pos >> 6
-        boff = (pos & 63).astype(np.uint64)
-        win64 = words[wi] << boff
-        np.bitwise_or(
-            win64,
-            np.where(
-                boff > 0,
-                words[wi + 1] >> ((np.uint64(64) - boff) & np.uint64(63)),
-                np.uint64(0),
-            ),
-            out=win64,
-        )
-        peek = (win64 >> np.uint64(64 - PEEK_BITS)).astype(np.int64)
-        idx_at = table_idx[peek]
-        len_at = table_len[peek].astype(np.int64)
-
-        escapes = np.flatnonzero(idx_at < 0)
-        if escapes.size:
-            # Ascending-length first-match mirrors the scalar slow path.
-            esc_win = win64[escapes]
-            unresolved = np.ones(escapes.size, dtype=bool)
-            for ln in np.unique(sorted_lens):
-                ln = int(ln)
-                if ln <= PEEK_BITS or ln > MAX_CODE_LENGTH:
-                    continue
-                lo = int(np.searchsorted(sorted_lens, ln, side="left"))
-                hi = int(np.searchsorted(sorted_lens, ln, side="right"))
-                cand = np.flatnonzero(unresolved)
-                if cand.size == 0:
-                    break
-                code = (esc_win[cand] >> np.uint64(64 - ln)).astype(np.int64)
-                delta = code - int(codes[lo])
-                ok = (
-                    (delta >= 0)
-                    & (delta < hi - lo)
-                    & (escapes[cand] + ln <= total_bits)
-                )
-                hit = cand[ok]
-                idx_at[escapes[hit]] = (lo + delta[ok]).astype(np.int32)
-                len_at[escapes[hit]] = ln
-                unresolved[hit] = False
-
-        # Offset-successor chain: position -> position of the next symbol.
-        # Invalid offsets jump to the absorbing sentinel `total_bits`.
-        nxt = np.where(idx_at >= 0, np.minimum(pos + len_at, total_bits), total_bits)
-        nxt = np.append(nxt, total_bits)
-        idx_at = np.append(idx_at, np.int32(-1))
-        len_at = np.append(len_at, 0)
+        off_dtype = np.int32 if total_bits < 2**31 else np.int64
+        idx_at = np.empty(total_bits + 1, dtype=np.int32)
+        len_at = np.empty(total_bits + 1, dtype=np.int8)
+        idx_at[total_bits] = -1
+        len_at[total_bits] = 0
+        nxt = np.empty(total_bits + 1, dtype=off_dtype)
+        nxt[total_bits] = total_bits
+        for b0 in range(0, total_bits, DECODE_BLOCK_BITS):
+            b1 = min(b0 + DECODE_BLOCK_BITS, total_bits)
+            _decode_offsets(
+                words, b0, b1, total_bits, sorted_lens, codes,
+                table_idx, table_len, idx_at[b0:b1], len_at[b0:b1], nxt[b0:b1],
+            )
 
         # Pointer doubling: `adv` advances m symbols at once, so each round
-        # doubles the known prefix of the symbol-boundary chain.
-        chain = np.zeros(1, dtype=np.int64)
+        # doubles the known prefix of the symbol-boundary chain.  Invalid
+        # offsets jump to the absorbing sentinel `total_bits`.
+        chain = np.zeros(n, dtype=off_dtype)
         adv = nxt
+        del nxt  # each round then frees the previous successor array
         m = 1
         while m < n:
-            chain = np.concatenate((chain, adv[chain]))[:n]
-            m = min(2 * m, n)
+            k = min(m, n - m)
+            np.take(adv, chain[:k], out=chain[m:m + k])
+            m += k
             if m >= n:
                 break
-            adv = adv[adv]
+            adv = _compose(adv)
+        del adv
 
         sym_indices = idx_at[chain]
         if (sym_indices < 0).any():
             raise DecompressionError("invalid huffman code or exhausted payload")
+        # From the unclipped end: a last code overrunning the payload
+        # must not pass as consumed == payload_bits.
         consumed = int(chain[-1]) + int(len_at[chain[-1]])
         if consumed != payload_bits:
             raise DecompressionError(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.trace import active_tracer
 
 __all__ = ["PFSModel", "fair_share_schedule"]
 
@@ -51,6 +52,11 @@ def fair_share_schedule(
     interval the rate of each active flow is constant:
     ``min(per_flow_cap, aggregate / n_active)`` — with a homogeneous per-flow
     cap, max-min fairness reduces to exactly this.
+
+    Under an active tracer the call is a wall-clock ``pfs:fair_share`` span
+    (arguments ``flows``, ``distinct`` and ``events``), and its distinct
+    flows and events count towards the ``iolib.fair_share.distinct_flows``
+    and ``iolib.fair_share.events`` metrics.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     sizes = np.asarray(sizes_bytes, dtype=np.float64) / 1e6  # MB
@@ -58,24 +64,68 @@ def fair_share_schedule(
         raise ConfigurationError("arrivals and sizes must align")
     if per_flow_cap_mbps <= 0 or aggregate_cap_mbps <= 0:
         raise ConfigurationError("capacities must be positive")
+    flows = (arrivals.ravel(), sizes.ravel(), per_flow_cap_mbps, aggregate_cap_mbps)
+    tracer = active_tracer()
+    if tracer is None:
+        return _solve(*flows)[0]
+    t0 = tracer.now()
+    finish, distinct, events = _solve(*flows)
+    tracer.add_span(
+        "pfs:fair_share", "pfs", t0, tracer.now(), clock="wall",
+        flows=int(finish.size), distinct=distinct, events=events,
+    )
+    tracer.metrics.counter("iolib.fair_share.distinct_flows").inc(distinct)
+    tracer.metrics.counter("iolib.fair_share.events").inc(events)
+    return finish
+
+
+def _solve(
+    arrivals: np.ndarray,
+    sizes: np.ndarray,
+    per_flow_cap_mbps: float,
+    aggregate_cap_mbps: float,
+) -> tuple[np.ndarray, int, int]:
+    """Event loop of :func:`fair_share_schedule` over 1-D arrivals (s) and
+    sizes (MB); returns the finish times, distinct flows and events.
+
+    Flows with bit-identical arrival and size take the same float operations
+    at every event (one ``x - rate * dt`` each), so each distinct pair is
+    solved once, weighted by its multiplicity, and its finish time is
+    scattered back to every flow that shares it.  A cluster tenant's ranks
+    are such flows: thousands of flows collapse to one per tenant.  The
+    finish times are bit-identical to a solve over every flow.
+    """
     n = arrivals.size
-    finish = np.full(n, np.inf)
-    remaining = sizes.copy()
-    order = np.argsort(arrivals, kind="stable")
-    next_arrival = 0  # index into `order`
-    # The active set is a boolean mask so the per-event work (progress
-    # subtraction, minimum remaining, completion harvest) runs as whole-array
-    # numpy ops.  This is the cluster hot path: thousands of tenant flows
-    # share one solve, and the previous per-flow Python lists made each
-    # event O(n) interpreter work plus O(n) `list.remove` calls.  The float
-    # arithmetic per flow is unchanged (the same ``x - rate * dt`` per
-    # element), so finish times are bit-identical to the scalar solver.
-    active = np.zeros(n, dtype=bool)
-    n_active = 0
-    t = float(arrivals[order[0]]) if n else 0.0
+    perm = np.lexsort((sizes, arrivals))
+    arr_sorted = arrivals[perm]
+    size_sorted = sizes[perm]
+    # Group heads: runs of bit-identical (arrival, size) in sorted order.
+    head = np.ones(n, dtype=bool)
+    a_bits = arr_sorted.view(np.int64)
+    s_bits = size_sorted.view(np.int64)
+    head[1:] = (a_bits[1:] != a_bits[:-1]) | (s_bits[1:] != s_bits[:-1])
+    first = np.flatnonzero(head)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[perm] = np.cumsum(head) - 1
+    weights = np.diff(np.append(first, n))
+    arr = arr_sorted[first]  # non-decreasing: groups are admitted in order
+    arr_list = arr.tolist()
+    size = size_sorted[first]
+    m = first.size
+    finish = np.full(m, np.inf)
+
+    # The active set is held compactly (remaining MB, weight, group index)
+    # so each event costs numpy work over the in-flight flows only.
+    rem = np.empty(0)
+    w_act = np.empty(0, dtype=np.int64)
+    g_act = np.empty(0, dtype=np.intp)
+    n_active = 0  # flows, i.e. the sum of the active weights
+    next_arrival = 0
+    events = 0
+    t = arr_list[0] if m else 0.0
 
     guard = 0
-    while next_arrival < n or n_active:
+    while next_arrival < m or n_active:
         guard += 1
         if guard > 10 * n + 100:
             raise SimulationError("fair-share solver failed to converge")
@@ -83,27 +133,28 @@ def fair_share_schedule(
         # bandwidth: they complete at their arrival instant instead of
         # entering the active set (where each one would force a zero-length
         # solver step and burn guard iterations).
-        while next_arrival < n and arrivals[order[next_arrival]] <= t + 1e-12:
-            idx = int(order[next_arrival])
+        lo = next_arrival
+        while next_arrival < m and arr_list[next_arrival] <= t + 1e-12:
             next_arrival += 1
-            if remaining[idx] <= 1e-9:
-                finish[idx] = float(arrivals[idx])
-            else:
-                active[idx] = True
-                n_active += 1
+        if next_arrival > lo:
+            new = slice(lo, next_arrival)
+            zero = size[new] <= 1e-9
+            finish[new][zero] = arr[new][zero]
+            moving = ~zero
+            w_new = weights[new][moving]
+            rem = np.concatenate((rem, size[new][moving]))
+            w_act = np.concatenate((w_act, w_new))
+            g_act = np.concatenate((g_act, np.arange(lo, next_arrival)[moving]))
+            n_active += int(w_new.sum())
         if not n_active:
-            if next_arrival >= n:
+            if next_arrival >= m:
                 break
-            t = float(arrivals[order[next_arrival]])
+            t = arr_list[next_arrival]
             continue
         rate = min(per_flow_cap_mbps, aggregate_cap_mbps / n_active)
         # Time to the next event: earliest completion or next arrival.
-        dt_complete = float(remaining[active].min()) / rate
-        dt_arrival = (
-            float(arrivals[order[next_arrival]]) - t
-            if next_arrival < n
-            else np.inf
-        )
+        dt_complete = float(rem.min()) / rate
+        dt_arrival = arr_list[next_arrival] - t if next_arrival < m else np.inf
         # A completion that coincides with an arrival is one positive step to
         # the shared event time; the next iteration admits the arrival.  Both
         # candidate steps are strictly positive — active flows have bytes left
@@ -112,15 +163,18 @@ def fair_share_schedule(
         dt = min(dt_complete, dt_arrival)
         if dt <= 0:
             raise SimulationError("non-positive time step in fair-share solver")
-        remaining[active] -= rate * dt
+        rem -= rate * dt
         t += dt
-        done = active & (remaining <= 1e-9)
-        n_done = int(np.count_nonzero(done))
-        if n_done:
-            finish[done] = t
-            active &= ~done
-            n_active -= n_done
-    return finish
+        events += 1
+        done = rem <= 1e-9
+        if done.any():
+            finish[g_act[done]] = t
+            n_active -= int(w_act[done].sum())
+            keep = ~done
+            rem = rem[keep]
+            w_act = w_act[keep]
+            g_act = g_act[keep]
+    return finish[inverse], m, events
 
 
 @dataclass(frozen=True)

@@ -108,3 +108,41 @@ class TestCodecObject:
     def test_deterministic(self):
         syms = np.array([3, 1, 4, 1, 5, 9, 2, 6] * 10, dtype=np.int64)
         assert huffman_encode(syms) == huffman_encode(syms)
+
+
+class TestBlockedDecode:
+    def test_last_code_overrunning_payload_is_rejected(self):
+        """A final code that runs past the payload's last byte must not count
+        as ending exactly on ``payload_bits``: canonical codes 0/10/11, the
+        payload ``00000001`` declares 8 bits and 8 symbols, and the eighth
+        symbol ``10`` would need a ninth bit."""
+        import struct
+
+        blob = b"".join((
+            struct.pack("<IHI", 8, 3, 8),
+            np.array([5, 6, 7], dtype=np.uint64).tobytes(),
+            bytes([1, 2, 2]),
+            b"\x01",
+        ))
+        with pytest.raises(DecompressionError, match="length mismatch"):
+            huffman_decode(blob)
+
+    def test_peak_below_32_bytes_per_payload_bit(self):
+        """The every-offset decode stage runs in blocks: a multi-Mbit stream
+        must not allocate tens of bytes per payload bit (it once took ~78)."""
+        import struct
+        import tracemalloc
+
+        rng = np.random.default_rng(11)
+        syms = np.minimum(rng.geometric(0.05, size=300_000), 3000)
+        blob = huffman_encode(syms)
+        payload_bits = struct.unpack_from("<IHI", blob)[2]
+        assert payload_bits >= 1 << 20
+        tracemalloc.start()
+        try:
+            back = huffman_decode(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, syms)
+        assert peak / payload_bits < 32

@@ -329,3 +329,86 @@ class TestFairShareProperties:
             twin_arrivals, twin_sizes * 1e6, per_flow, aggregate
         )
         assert finish[i] == pytest.approx(finish[-1], rel=1e-12, abs=1e-12)
+
+
+# -- oracle: the weighted solver against the per-flow reference ---------------
+#
+# ``fair_share_schedule`` solves each distinct (arrival, size) pair once,
+# weighted by how many flows share it.  ``fair_share_reference`` is the
+# per-flow solver it replaced; the two must agree bit for bit on every input,
+# including the cases where grouping could go wrong: tenant × rank groups,
+# equal sizes at different arrivals, arrivals closer than the 1e-12 admission
+# tolerance that are not equal, zero-byte flows, one flow and no flows, with
+# either the per-flow or the aggregate cap binding.
+
+from fair_share_reference import reference_fair_share_schedule  # noqa: E402
+from hypothesis import example  # noqa: E402
+
+
+@st.composite
+def _flow_groups(draw):
+    """(arrivals, sizes_bytes, per_flow, aggregate), flows in shuffled order."""
+    shared_sizes = draw(
+        st.lists(st.floats(1e3, 5e9, allow_nan=False), min_size=1, max_size=3)
+    )
+    arrivals, sizes = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        if arrivals and draw(st.booleans()):
+            # Within the admission tolerance of an earlier arrival, not equal.
+            arrival = arrivals[-1] + draw(st.sampled_from((1e-13, 4e-13, 9e-13)))
+        else:
+            arrival = draw(st.floats(0.0, 50.0, allow_nan=False))
+        size = draw(
+            st.one_of(
+                st.just(0.0),
+                st.sampled_from(shared_sizes),  # equal sizes, other arrivals
+                st.floats(1e3, 5e9, allow_nan=False),
+            )
+        )
+        multiplicity = draw(st.integers(1, 128))  # ranks of one tenant
+        arrivals += [arrival] * multiplicity
+        sizes += [size] * multiplicity
+    order = draw(st.randoms(use_true_random=False)).sample(
+        range(len(arrivals)), len(arrivals)
+    )
+    arrivals = np.array(arrivals, dtype=np.float64)[order]
+    sizes = np.array(sizes, dtype=np.float64)[order]
+    per_flow = draw(st.floats(10.0, 2000.0, allow_nan=False))
+    if draw(st.booleans()):
+        # Per-flow cap binds: the backend outruns every flow at once.
+        aggregate = per_flow * (arrivals.size + 1) * draw(st.floats(1.0, 4.0))
+    else:
+        # Aggregate cap binds as soon as a few flows overlap.
+        aggregate = per_flow * draw(st.floats(0.5, 4.0))
+    return arrivals, sizes, per_flow, aggregate
+
+
+class TestFairShareOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_flow_groups())
+    @example((np.zeros(0), np.zeros(0), 100.0, 400.0))
+    @example((np.array([1.5]), np.array([3e8]), 100.0, 400.0))
+    @example((np.array([2.0]), np.array([0.0]), 100.0, 400.0))
+    def test_finish_times_bit_identical_to_reference(self, case):
+        arrivals, sizes, per_flow, aggregate = case
+        want = reference_fair_share_schedule(arrivals, sizes, per_flow, aggregate)
+        got = fair_share_schedule(arrivals, sizes, per_flow, aggregate)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "arrivals, sizes, per_flow, aggregate",
+        [
+            (np.zeros(2), np.zeros(3), 1.0, 1.0),
+            (np.zeros((2, 2)), np.zeros(4), 1.0, 1.0),
+            (np.zeros(1), np.ones(1), 0.0, 1.0),
+            (np.zeros(1), np.ones(1), 1.0, -1.0),
+            (np.zeros(0), np.zeros(0), -2.0, 1.0),
+        ],
+    )
+    def test_bad_inputs_raise_as_reference(self, arrivals, sizes, per_flow, aggregate):
+        with pytest.raises(ConfigurationError) as want:
+            reference_fair_share_schedule(arrivals, sizes, per_flow, aggregate)
+        with pytest.raises(ConfigurationError) as got:
+            fair_share_schedule(arrivals, sizes, per_flow, aggregate)
+        assert str(got.value) == str(want.value)

@@ -7,6 +7,7 @@ import json
 import pathlib
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -357,6 +358,25 @@ class TestMeterInstrumentation:
         assert first.args == {"phases": 3, "steps": 13}  # 10 + 0 + 3 ticks
         assert second.args == {"phases": 1, "steps": 5}
         assert tracer.metrics.snapshot()["energy.meter.steps"] == 18
+
+
+class TestFairShareInstrumentation:
+    def test_fair_share_span_and_counters(self):
+        from repro.iolib.pfs import fair_share_schedule
+
+        # Two tenants of 48 ranks each plus one lone flow: 97 flows, 3 distinct.
+        arrivals = np.concatenate([np.zeros(48), np.full(48, 1.0), [2.0]])
+        sizes = np.concatenate([np.full(48, 4e8), np.full(48, 2e8), [1e8]])
+        plain = fair_share_schedule(arrivals, sizes, 500.0, 4000.0)
+        with tracing() as tracer:
+            traced = fair_share_schedule(arrivals, sizes, 500.0, 4000.0)
+        assert traced.tobytes() == plain.tobytes()
+        (span,) = [s for s in tracer.spans if s.name == "pfs:fair_share"]
+        assert span.clock == "wall" and span.track == "pfs"
+        assert span.args["flows"] == 97 and span.args["distinct"] == 3
+        snap = tracer.metrics.snapshot()
+        assert snap["iolib.fair_share.distinct_flows"] == 3
+        assert snap["iolib.fair_share.events"] == span.args["events"] > 0
 
 
 class TestVirtualInstrumentation:
