@@ -631,6 +631,7 @@ def simulate_cluster(
     starts: dict[str, float] = {}
     arrivals: dict[str, float] = {}
     backfilled: dict[str, bool] = {}
+    moves: list[float] = []  # |start change| of each tenant that moved
 
     for iteration in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         starts, arrivals, backfilled = _run_schedule(spec, states, drains)
@@ -666,15 +667,21 @@ def simulate_cluster(
                 f"pass:{iteration}", "fixed-point", 0.0, float(finish.max()),
                 iteration=iteration,
             )
-        if prev_starts is not None and all(
-            starts[n] == prev_starts[n] for n in names
-        ):
-            break
+        if prev_starts is not None:
+            moves = [
+                abs(starts[n] - prev_starts[n])
+                for n in names
+                if starts[n] != prev_starts[n]
+            ]
+            if not moves:
+                break
         prev_starts = starts
     else:
         raise SimulationError(
             f"cluster schedule did not reach a fixed point in "
-            f"{MAX_FIXED_POINT_ITERATIONS} iterations"
+            f"{MAX_FIXED_POINT_ITERATIONS} iterations: {len(moves)} of "
+            f"{len(names)} tenants' start times still moved in the last pass "
+            f"(largest move {max(moves, default=0.0):.6g} s)"
         )
 
     outcomes = []

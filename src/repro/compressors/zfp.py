@@ -97,7 +97,7 @@ def _needs_raw_escape(e: int, abs_bound: float) -> bool:
     """
     if abs_bound <= 0:
         return True
-    bound_q = abs_bound * 2.0 ** (PRECISION - e)
+    bound_q = math.ldexp(abs_bound, PRECISION - e)
     # 32 q-units of margin covers fixed-point rounding plus the lifted
     # transform's few-unit roundtrip slack after 3-D gain amplification.
     return bound_q < 32.0
@@ -112,8 +112,9 @@ def _kmin_for(e: int, abs_bound: float, core_dims: int) -> int:
     """
     if abs_bound <= 0:
         return 0
-    # abs_bound expressed in fixed-point (q) units.
-    bound_q = abs_bound * 2.0 ** (PRECISION - e)
+    # abs_bound expressed in fixed-point (q) units; ldexp, because 2^(P - e)
+    # alone overflows a double for subnormal-scale blocks (e below -970).
+    bound_q = math.ldexp(abs_bound, PRECISION - e)
     if bound_q <= 1.0:
         return 0
     # Budget: negabinary truncation of planes < kmin perturbs a coefficient
@@ -130,7 +131,7 @@ def _stream_kmin(e: int, abs_bound: float, core_dims: int) -> int:
     if _E_RANGE[0] <= e <= _E_RANGE[1]:
         try:
             return _kmin_for(e, abs_bound, core_dims)
-        except OverflowError:  # the encoder fails on these exponents too
+        except OverflowError:  # a bound this far above 2^e is never encoded
             pass
     raise DecompressionError(f"zfp block exponent {e} out of range")
 
@@ -385,10 +386,11 @@ class ZFP(Compressor):
         if nonzero.any():
             _, e = np.frexp(fmax[nonzero])
             exps[nonzero] = e
-        scale = np.exp2(PRECISION - exps.astype(np.float64))
-        q = np.rint(core * scale.reshape((n_blocks,) + (1,) * core_dims)).astype(
-            np.int64
-        )
+        # ldexp, not a 2^(P - e) multiplier: that overflows for subnormal-scale
+        # blocks.  int32 exponents take numpy's native ldexp loop.
+        shift = (PRECISION - exps).astype(np.int32)
+        q = np.rint(np.ldexp(core, shift.reshape((n_blocks,) + (1,) * core_dims)))
+        q = q.astype(np.int64)
 
         coeff = forward_transform(q).reshape(n_blocks, bsize)
         order = sequency_order(core_dims)
@@ -452,8 +454,10 @@ class ZFP(Compressor):
         inv_order = np.argsort(order)
         coeff = coeff[:, inv_order].reshape((n_blocks,) + (4,) * core_dims)
         q = inverse_transform(coeff)
-        scale = np.exp2(exps.astype(np.float64) - PRECISION)
-        vals = q.astype(np.float64) * scale.reshape((n_blocks,) + (1,) * core_dims)
+        shift = (exps - PRECISION).astype(np.int32)
+        vals = np.ldexp(
+            q.astype(np.float64), shift.reshape((n_blocks,) + (1,) * core_dims)
+        )
         vals[~nonzero] = 0.0
         for b, raw in raw_blocks.items():
             vals[b] = raw.reshape((4,) * core_dims)

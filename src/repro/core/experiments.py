@@ -10,12 +10,10 @@
 Every driver returns plain dataclass records that the benchmark harness
 renders into the paper's rows/series.  Compression round-trips are memoized
 per (dataset, scale, codec, bound) — Figures 5/7/8/9 and Table III all share
-one sweep.  The grid drivers (``run_serial_sweep``, ``run_thread_sweep``,
-``run_quality_table``, ``run_io_sweep``, ``run_pipeline_sweep``,
-``run_dvfs_sweep``, ``run_checkpoint_sweep``, ``run_lossless_comparison``)
-delegate to the :mod:`repro.runtime` sweep engine, so whole evaluated points
-— not just round-trips — are memoized in the process-wide result store and
-can be fanned out over thread/process pools.
+one sweep.  Grids run through :meth:`Testbed.run_sweep`, which delegates to
+the :mod:`repro.runtime` sweep engine, so whole evaluated points — not just
+round-trips — are memoized in the process-wide result store and can be
+fanned out over thread/process pools.
 """
 
 from __future__ import annotations
@@ -385,6 +383,42 @@ class Testbed:
             cpu, sample_interval=self.sample_interval, freq_ghz=freq_ghz
         )
 
+    def _codec_stage(
+        self,
+        dataset: str,
+        codec: str | None,
+        rel_bound: float | None,
+        cpu: CPUSpec,
+        direction: str,
+        freq_ghz: float | None = None,
+    ) -> tuple[int, float, float, RoundtripRecord | None]:
+        """Price one rank's codec stage at paper scale.
+
+        Returns ``(bytes on the PFS, codec seconds, codec joules, round-trip
+        record)``; the uncompressed baseline (``codec=None``) moves the full
+        paper-scale bytes at zero codec cost with no record.  Every write,
+        read, pipelined, DVFS and checkpoint point prices its codec work here.
+        """
+        spec = get_dataset(dataset)
+        if codec is None:
+            return spec.paper_nbytes, 0.0, 0.0, None
+        if rel_bound is None:
+            raise ConfigurationError("rel_bound required when codec is set")
+        rt = self.roundtrip(dataset, codec, rel_bound)
+        nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
+        t = self.throughput.runtime(
+            codec,
+            direction,
+            spec.paper_nbytes,
+            rel_bound,
+            cpu,
+            threads=1,
+            complexity=spec.complexity,
+            freq_ghz=freq_ghz,
+        )
+        e = self._meter(cpu, freq_ghz).measure_compute(t, 1).energy_j
+        return nbytes, t, e, rt
+
     def serial_point(
         self,
         dataset: str,
@@ -493,27 +527,11 @@ class Testbed:
         ``compress_*`` fields carry the *decompression* cost on the read
         path (the codec work needed before analysis can start).
         """
-        spec = get_dataset(dataset)
         cpu = get_cpu(cpu_name)
         lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_d, e_d = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_d = self.throughput.runtime(
-                codec,
-                "decompress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_d = self._meter(cpu).measure_compute(t_d, 1).energy_j
+        nbytes, t_d, e_d, _ = self._codec_stage(
+            dataset, codec, rel_bound, cpu, "decompress"
+        )
         t_r, e_r = self.read_report(nbytes, lib, cpu)
         return IOPoint(
             dataset=dataset,
@@ -535,50 +553,13 @@ class Testbed:
         rel_bound: float | None,
         io_library: str = "hdf5",
         cpu_name: str = "max9480",
-        pipeline=None,
-    ) -> IOPoint | PipelinePoint:
-        """One Fig. 11 bar: write compressed (or original) data to the PFS.
-
-        ``pipeline`` switches to the block-pipelined model: pass a
-        :class:`~repro.iolib.pipeline.PipelineConfig` (or an int chunk
-        count) and the point is evaluated through :meth:`pipeline_point`,
-        returning a :class:`PipelinePoint` instead of an :class:`IOPoint`.
-        """
-        if pipeline is not None:
-            from repro.iolib.pipeline import PipelineConfig
-
-            if isinstance(pipeline, int):
-                pipeline = PipelineConfig(n_chunks=pipeline)
-            return self.pipeline_point(
-                dataset,
-                codec,
-                rel_bound,
-                io_library=io_library,
-                cpu_name=cpu_name,
-                n_chunks=pipeline.n_chunks,
-                overlap=pipeline.overlap,
-            )
-        spec = get_dataset(dataset)
+    ) -> IOPoint:
+        """One Fig. 11 bar: write compressed (or original) data to the PFS."""
         cpu = get_cpu(cpu_name)
         lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_c = self._meter(cpu).measure_compute(t_c, 1).energy_j
+        nbytes, t_c, e_c, _ = self._codec_stage(
+            dataset, codec, rel_bound, cpu, "compress"
+        )
         t_w, e_w = self.write_report(nbytes, lib, cpu)
         return IOPoint(
             dataset=dataset,
@@ -618,27 +599,11 @@ class Testbed:
         from repro.iolib.pipeline import PipelineConfig, plan_pipelined_write
 
         cfg = PipelineConfig(n_chunks=n_chunks, overlap=overlap)
-        spec = get_dataset(dataset)
         cpu = get_cpu(cpu_name)
         lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-            )
-            e_c = self._meter(cpu).measure_compute(t_c, 1).energy_j
+        nbytes, t_c, e_c, _ = self._codec_stage(
+            dataset, codec, rel_bound, cpu, "compress"
+        )
 
         if not cfg.overlap:
             # Degenerate control: the monolithic sequential path, verbatim.
@@ -701,31 +666,13 @@ class Testbed:
         transfer and serialize durations stay frequency-insensitive.  At
         ``f == fnom`` this reproduces :meth:`io_point` exactly.
         """
-        spec = get_dataset(dataset)
         cpu = get_cpu(cpu_name)
         freq = cpu.validate_freq(freq_ghz)
         lib = get_io_library(io_library)
-        if codec is None:
-            nbytes = spec.paper_nbytes
-            t_c, e_c = 0.0, 0.0
-            ratio, psnr_db = 1.0, float("inf")
-        else:
-            if rel_bound is None:
-                raise ConfigurationError("rel_bound required when codec is set")
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            nbytes = max(1, int(round(spec.paper_nbytes / rt.ratio)))
-            ratio, psnr_db = rt.ratio, rt.psnr_db
-            t_c = self.throughput.runtime(
-                codec,
-                "compress",
-                spec.paper_nbytes,
-                rel_bound,
-                cpu,
-                threads=1,
-                complexity=spec.complexity,
-                freq_ghz=freq,
-            )
-            e_c = self._meter(cpu, freq).measure_compute(t_c, 1).energy_j
+        nbytes, t_c, e_c, rt = self._codec_stage(
+            dataset, codec, rel_bound, cpu, "compress", freq
+        )
+        ratio, psnr_db = (1.0, float("inf")) if rt is None else (rt.ratio, rt.psnr_db)
         t_w, e_w = self.write_report(nbytes, lib, cpu, freq_ghz=freq)
         return DvfsPoint(
             dataset=dataset,
@@ -817,46 +764,14 @@ class Testbed:
         else:
             base = self.io_point(dataset, codec, rel_bound, io_library, cpu_name)
             ckpt_time = base.compress_time_s + base.write_time_s
-        if freq_ghz is None:
-            restart = self.read_point(dataset, codec, rel_bound, io_library, cpu_name)
-            r_fetch_t, r_fetch_e = restart.fetch_time_s, restart.fetch_energy_j
-            r_dec_t, r_dec_e = (
-                restart.decompress_time_s,
-                restart.decompress_energy_j,
-            )
-        else:
-            # The restart must honour the DVFS pin like every other term:
-            # decompression scales on its roofline compute fraction, the
-            # fetch duration is clock-insensitive, and both integrate power
-            # at the pinned frequency (mirroring read_point at nominal).
-            spec_ds = get_dataset(dataset)
-            lib = get_io_library(io_library)
-            if codec is None:
-                r_nbytes = spec_ds.paper_nbytes
-                r_dec_t, r_dec_e = 0.0, 0.0
-            else:
-                rt_q = self.roundtrip(dataset, codec, rel_bound)
-                r_nbytes = max(1, int(round(spec_ds.paper_nbytes / rt_q.ratio)))
-                r_dec_t = self.throughput.runtime(
-                    codec,
-                    "decompress",
-                    spec_ds.paper_nbytes,
-                    rel_bound,
-                    cpu,
-                    threads=1,
-                    complexity=spec_ds.complexity,
-                    freq_ghz=freq_ghz,
-                )
-                r_dec_e = self._meter(cpu, freq_ghz).measure_compute(r_dec_t, 1).energy_j
-            r_fetch_t, r_fetch_e = self.read_report(
-                r_nbytes, lib, cpu, freq_ghz=freq_ghz
-            )
-
-        if codec is None:
-            ratio, psnr_db = 1.0, float("inf")
-        else:
-            rt = self.roundtrip(dataset, codec, rel_bound)
-            ratio, psnr_db = rt.ratio, rt.psnr_db
+        # The restart is the read path (fetch + decompress) at the same DVFS
+        # pin as the checkpoint writes; unpinned it equals read_point.
+        r_nbytes, r_dec_t, r_dec_e, rt = self._codec_stage(
+            dataset, codec, rel_bound, cpu, "decompress", freq_ghz
+        )
+        lib = get_io_library(io_library)
+        r_fetch_t, r_fetch_e = self.read_report(r_nbytes, lib, cpu, freq_ghz=freq_ghz)
+        ratio, psnr_db = (1.0, float("inf")) if rt is None else (rt.ratio, rt.psnr_db)
 
         model = FailureModel(node_mttf_s=mttf_s, n_nodes=n_nodes)
         restart_time = r_fetch_t + r_dec_t
@@ -873,7 +788,7 @@ class Testbed:
         # at full load, transfer at the library's I/O activity); the record's
         # checkpoint/restart *energies* are pro-rated from the exact write
         # and read paths below, never re-integrated from these intervals.
-        cost = get_io_library(io_library).cost
+        cost = lib.cost
         ckpt_act = (
             (base.compress_time_s + base.write_time_s * cost.transfer_activity)
             / ckpt_time
@@ -961,9 +876,9 @@ class Testbed:
 
     # -- figure/table drivers ---------------------------------------------------
     #
-    # `run_sweep` is the one generic entrypoint: any registered experiment
-    # kind (builtin or plugin) runs through it.  The named drivers below are
-    # thin wrappers that keep the seed signatures figures and benchmarks use.
+    # `run_sweep` is the one way to run a grid: every registered experiment
+    # kind (builtin or plugin) runs through it.  `run_multinode` and
+    # `run_inflation` are standalone drivers outside the sweep engine.
 
     def run_sweep(self, kind: str, **axes) -> list:
         """Run any registered experiment kind's grid through the engine.
@@ -976,181 +891,6 @@ class Testbed:
         from repro.runtime.spec import SweepSpec
 
         return self.engine.run(SweepSpec(kind=kind, **axes))
-
-    def run_serial_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        cpus=("max9480",),
-        threads: int = 1,
-    ) -> list[SerialPoint]:
-        """Figs. 5 and 7 (and the data behind Figs. 8/9 and Table III)."""
-        return self.run_sweep(
-            "serial",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            cpus=cpus,
-            threads=(threads,),
-        )
-
-    def run_thread_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        threads=(1, 2, 4, 8, 16, 32, 64),
-        rel_bound: float = 1e-3,
-        cpus=("max9480",),
-        paper_fidelity: bool = False,
-    ) -> list[SerialPoint]:
-        """Fig. 10: OpenMP strong scaling at ε = 1e-3.
-
-        ``paper_fidelity=True`` drops the combinations the paper's reference
-        toolchain could not run (OpenMP SZ2 on 1-D/4-D, QoZ on 1-D) so the
-        output matrix matches the figure's missing bars exactly.
-        """
-        return self.run_sweep(
-            "thread",
-            datasets=datasets,
-            codecs=codecs,
-            threads=threads,
-            rel_bound=rel_bound,
-            cpus=cpus,
-            paper_fidelity=paper_fidelity,
-        )
-
-    def run_quality_table(
-        self,
-        datasets=("nyx", "hacc", "s3d"),
-        codecs=("sz3", "zfp", "szx"),
-        bounds=(1e-1, 1e-3, 1e-5),
-    ) -> list[RoundtripRecord]:
-        """Table III: CR and PSNR grid."""
-        return self.run_sweep("quality", datasets=datasets, codecs=codecs, bounds=bounds)
-
-    def run_io_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        io_libraries=("hdf5", "netcdf"),
-        cpu_name: str = "max9480",
-    ) -> list[IOPoint]:
-        """Fig. 11: post-compression write energy plus the original baseline."""
-        return self.run_sweep(
-            "io",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-        )
-
-    def run_pipeline_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        io_libraries=("hdf5", "netcdf"),
-        cpu_name: str = "max9480",
-        n_chunks: int = 8,
-        overlap: bool = True,
-    ) -> list[PipelinePoint]:
-        """The Fig. 11 grid through the block-pipelined write model."""
-        return self.run_sweep(
-            "pipeline",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            n_chunks=n_chunks,
-            overlap=overlap,
-        )
-
-    def run_dvfs_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-        freqs: tuple[float, ...] = (),
-        io_libraries=("hdf5",),
-        cpu_name: str = "max9480",
-        include_baseline: bool = True,
-    ) -> list[DvfsPoint]:
-        """The compress-and-write grid swept along the DVFS frequency axis.
-
-        ``freqs=()`` uses the CPU's canonical
-        :meth:`~repro.energy.cpus.CPUSpec.freq_ladder`.  Points are memoized
-        in the result store like every other kind.
-        """
-        return self.run_sweep(
-            "dvfs",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            freqs=freqs,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            include_baseline=include_baseline,
-        )
-
-    def run_checkpoint_sweep(
-        self,
-        datasets=("cesm", "hacc", "nyx", "s3d"),
-        codecs=("sz2", "sz3", "zfp", "qoz", "szx"),
-        bounds=(1e-3,),
-        mttfs=(float("inf"), 86400.0, 21600.0),
-        io_libraries=("hdf5",),
-        cpu_name: str = "max9480",
-        work_s: float = 3600.0,
-        interval: str | float = "daly",
-        n_nodes: int = 1,
-        seed: int = 0,
-        downtime_s: float = 60.0,
-        n_chunks: int = 1,
-        overlap: bool = False,
-        include_baseline: bool = True,
-    ) -> list[CheckpointPoint]:
-        """The checkpointed-lifetime grid along the MTTF axis.
-
-        Every point is a full failure-aware lifetime (plus its closed-form
-        expectations), memoized in the result store like every other kind.
-        """
-        return self.run_sweep(
-            "checkpoint",
-            datasets=datasets,
-            codecs=codecs,
-            bounds=bounds,
-            mttfs=mttfs,
-            io_libraries=io_libraries,
-            cpus=(cpu_name,),
-            work_s=work_s,
-            interval=interval,
-            n_nodes=n_nodes,
-            seed=seed,
-            downtime_s=downtime_s,
-            n_chunks=n_chunks,
-            overlap=overlap,
-            include_baseline=include_baseline,
-        )
-
-    def run_lossless_comparison(
-        self,
-        datasets=("qmcpack", "isabel", "cesm", "exafel"),
-        eblc=("sz2", "zfp"),
-        lossless=("zstd", "blosc", "fpzip", "fpc"),
-        rel_bound: float = 1e-2,
-    ) -> list[RoundtripRecord]:
-        """Fig. 1: lossless vs EBLC ratios."""
-        return self.run_sweep(
-            "lossless",
-            datasets=datasets,
-            codecs=eblc,
-            lossless_codecs=lossless,
-            rel_bound=rel_bound,
-        )
 
     def run_multinode(
         self,

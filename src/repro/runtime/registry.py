@@ -976,7 +976,7 @@ def _table_checkpoint(records) -> str:
     return format_table(headers, rows)
 
 
-# -- builtin invariants (the old tools/check_*_schema.py bodies) --------------
+# -- builtin invariants (checked by tools/check_record_schemas.py) ------------
 
 
 def _invariants_roundtrip(records) -> list:

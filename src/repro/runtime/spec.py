@@ -103,8 +103,9 @@ class SweepSpec:
     lossless_codecs: tuple[str, ...] = ("zstd", "blosc", "fpzip", "fpc")
     #: include the uncompressed write/read baseline (``io``/``read`` kinds).
     include_baseline: bool = True
-    #: drop codec/ndim combos the paper's toolchain could not run
-    #: (``thread`` kind; see ``Testbed.run_thread_sweep``).
+    #: drop codec/ndim combos the paper's toolchain could not run (OpenMP
+    #: SZ2 on 1-D/4-D, QoZ on 1-D), so the ``thread`` kind's output matrix
+    #: matches Fig. 10's missing bars.
     paper_fidelity: bool = False
     #: chunk count and stage overlap for the ``pipeline`` kind.
     n_chunks: int = 8

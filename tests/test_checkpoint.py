@@ -224,10 +224,10 @@ class TestStoreAndSweep:
         spec = SweepSpec(kind="checkpoint", mttfs=(float("inf"), 3600.0))
         assert SweepSpec.from_json(spec.to_json()) == spec
 
-    def test_run_checkpoint_sweep_driver(self, tb):
-        pts = tb.run_checkpoint_sweep(
-            datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
-            mttfs=(float("inf"),), work_s=120.0,
+    def test_checkpoint_kind_sweep_driver(self, tb):
+        pts = tb.run_sweep(
+            "checkpoint", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+            mttfs=(float("inf"),), io_libraries=("hdf5",), work_s=120.0,
         )
         assert len(pts) == 2  # baseline + szx
         assert all(isinstance(p, CheckpointPoint) for p in pts)

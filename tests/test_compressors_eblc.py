@@ -150,6 +150,15 @@ class TestZFP:
         buf = ZFP().compress(field_4d, 1e-3)
         check_error_bound(field_4d, ZFP().decompress(buf), 1e-3)
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 16), (8, 8, 8)])
+    @pytest.mark.parametrize("scale", [1e-280, 1e-295, 1e-305, 1e-315])
+    def test_subnormal_scale_fields(self, rng, shape, scale):
+        """Block maxima below 2^-970 push 2^(PRECISION - e) past the double
+        range; the fixed-point conversion must still round-trip in bound."""
+        data = rng.standard_normal(shape) * scale
+        buf = ZFP().compress(data, 1e-3)
+        check_error_bound(data, ZFP().decompress(buf), 1e-3)
+
 
 class TestSZx:
     def test_constant_blocks_detected(self):

@@ -1,5 +1,8 @@
 """Testbed drivers: every figure's driver produces coherent records."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -43,19 +46,23 @@ class TestSerialDrivers:
         assert e[0] < e[1] < e[2]
 
     def test_sweep_shapes(self, tb):
-        pts = tb.run_serial_sweep(
-            datasets=("nyx",), codecs=("szx", "zfp"), bounds=(1e-2,), cpus=("plat8160",)
+        pts = tb.run_sweep(
+            "serial", datasets=("nyx",), codecs=("szx", "zfp"), bounds=(1e-2,),
+            cpus=("plat8160",),
         )
         assert len(pts) == 2
 
     def test_thread_sweep_energy_falls_for_szx(self, tb):
-        pts = tb.run_thread_sweep(
-            datasets=("s3d",), codecs=("szx",), threads=(1, 64), cpus=("max9480",)
+        pts = tb.run_sweep(
+            "thread", datasets=("s3d",), codecs=("szx",), threads=(1, 64),
+            cpus=("max9480",),
         )
         assert pts[1].total_energy_j < pts[0].total_energy_j
 
     def test_quality_table_rows(self, tb):
-        rows = tb.run_quality_table(datasets=("nyx",), codecs=("sz3", "szx"), bounds=(1e-1, 1e-5))
+        rows = tb.run_sweep(
+            "quality", datasets=("nyx",), codecs=("sz3", "szx"), bounds=(1e-1, 1e-5)
+        )
         assert len(rows) == 4
         by = {(r.codec, r.rel_bound): r for r in rows}
         assert by[("sz3", 1e-1)].ratio > by[("sz3", 1e-5)].ratio
@@ -75,8 +82,9 @@ class TestIODrivers:
         assert n.write_energy_j > 2.0 * h.write_energy_j
 
     def test_io_sweep_contains_baselines(self, tb):
-        pts = tb.run_io_sweep(
-            datasets=("nyx",), codecs=("szx",), bounds=(1e-3,), io_libraries=("hdf5",)
+        pts = tb.run_sweep(
+            "io", datasets=("nyx",), codecs=("szx",), bounds=(1e-3,),
+            io_libraries=("hdf5",),
         )
         assert any(p.codec is None for p in pts)
         assert any(p.codec == "szx" for p in pts)
@@ -120,9 +128,35 @@ class TestInflationDriver:
 
 class TestFig1Driver:
     def test_lossless_vs_eblc(self, tb):
-        rows = tb.run_lossless_comparison(
-            datasets=("isabel",), eblc=("sz2",), lossless=("zstd", "fpzip")
+        rows = tb.run_sweep(
+            "lossless", datasets=("isabel",), codecs=("sz2",),
+            lossless_codecs=("zstd", "fpzip"), rel_bound=1e-2,
         )
         eblc = [r for r in rows if r.codec == "sz2"]
         lossless = [r for r in rows if r.codec != "sz2"]
         assert min(e.ratio for e in eblc) > max(l.ratio for l in lossless)
+
+
+class TestDocumentedMembers:
+    """Docs, examples and benchmarks name only members ``Testbed`` has."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+    REF = re.compile(r"\b(?:tb|testbed|Testbed)\.([A-Za-z_]\w*)")
+
+    def _sources(self):
+        root = self.ROOT
+        yield from root.glob("benchmarks/*.py")
+        yield from root.glob("examples/*.py")
+        yield root / "README.md"
+        yield from root.glob("docs/**/*.md")
+
+    def test_every_reference_is_a_real_member(self):
+        members = set(dir(Testbed(scale="tiny")))
+        refs = [
+            (path.relative_to(self.ROOT).as_posix(), m.group(1))
+            for path in self._sources()
+            for m in self.REF.finditer(path.read_text())
+        ]
+        assert len(refs) > 20  # the scan really reads the docs
+        stale = sorted({ref for ref in refs if ref[1] not in members})
+        assert not stale, f"references to missing Testbed members: {stale}"

@@ -564,7 +564,8 @@ class TestCLI:
 
 
 class TestSchemaShims:
-    """The legacy per-kind checkers stay as deprecation shims that exit 0."""
+    """Sweep JSON of the kinds the retired per-kind checkers covered passes
+    the unified ``check_record_schemas.py`` checker."""
 
     def _sweep_json(self, tmp_path, capsys, argv, name):
         assert main(argv) == 0
@@ -578,9 +579,9 @@ class TestSchemaShims:
             "szx", "--bounds", "1e-2", "--scale", "tiny", "--cpus",
             "plat8160", "--freqs", "2.1", "--json",
         ], "DVFS.json")
-        shim = load_tool("check_dvfs_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_dvfs_schema.py", path]) == 0
+        checker = load_tool("check_record_schemas")
+        assert checker.check("dvfs", path) == []
+        assert checker.main(["check_record_schemas.py", "dvfs", path]) == 0
 
     def test_pipeline_shim(self, tmp_path, capsys):
         path = self._sweep_json(tmp_path, capsys, [
@@ -588,9 +589,9 @@ class TestSchemaShims:
             "szx", "--bounds", "1e-2", "--io-libraries", "hdf5", "--scale",
             "tiny", "--n-chunks", "2", "--json",
         ], "PIPELINE.json")
-        shim = load_tool("check_pipeline_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_pipeline_schema.py", path]) == 0
+        checker = load_tool("check_record_schemas")
+        assert checker.check("pipeline", path) == []
+        assert checker.main(["check_record_schemas.py", "pipeline", path]) == 0
 
     def test_checkpoint_shim(self, tmp_path, capsys):
         path = self._sweep_json(tmp_path, capsys, [
@@ -598,9 +599,10 @@ class TestSchemaShims:
             "--codecs", "szx", "--bounds", "1e-2", "--io-libraries", "hdf5",
             "--scale", "tiny", "--mttfs", "inf", "--work", "600", "--json",
         ], "CHECKPOINT.json")
-        shim = load_tool("check_checkpoint_schema")
-        assert shim.check(path) == []
-        assert shim.main(["check_checkpoint_schema.py", path]) == 0
+        checker = load_tool("check_record_schemas")
+        assert checker.check("checkpoint", path) == []
+        argv = ["check_record_schemas.py", "checkpoint", path]
+        assert checker.main(argv) == 0
 
     def test_bench_shim_and_unified_dispatch(self, tmp_path, capsys):
         from repro.runtime.benchmark import SCHEMA_VERSION
@@ -620,11 +622,10 @@ class TestSchemaShims:
         path = tmp_path / "BENCH_kernels.json"
         path.write_text(json.dumps(doc))
         unified = load_tool("check_record_schemas")
+        argv = ["check_record_schemas.py", "bench", str(path)]
         assert unified.check("bench", path) == []
-        shim = load_tool("check_bench_schema")
-        assert shim.main([str(path)]) == 0
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        # a broken doc still fails through the shim
+        assert unified.main(argv) == 0
+        # a broken doc fails through the unified entry point
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
-        assert shim.main([str(path)]) == 1
+        assert unified.main(argv) == 1
+        assert "benchmark schema drift" in capsys.readouterr().err

@@ -138,9 +138,8 @@ class TestEquivalenceWithSequential:
     @pytest.mark.parametrize("codec,eps", [("szx", 1e-3), (None, None)])
     def test_energy_and_time_match(self, tb, codec, eps):
         seq = tb.io_point("cesm", codec, eps, "hdf5", "max9480")
-        ctl = tb.io_point(
-            "cesm", codec, eps, "hdf5", "max9480",
-            pipeline=PipelineConfig(n_chunks=4, overlap=False),
+        ctl = tb.pipeline_point(
+            "cesm", codec, eps, "hdf5", "max9480", n_chunks=4, overlap=False
         )
         assert isinstance(ctl, PipelinePoint)
         assert ctl.bytes_written == seq.bytes_written
@@ -151,7 +150,8 @@ class TestEquivalenceWithSequential:
         assert ctl.overlap_saving_s == pytest.approx(0.0, abs=1e-9)
 
     def test_int_shorthand_for_pipeline_config(self, tb):
-        p = tb.io_point("cesm", "szx", 1e-3, "hdf5", "max9480", pipeline=4)
+        """A bare chunk count gives an overlapped pipeline by default."""
+        p = tb.pipeline_point("cesm", "szx", 1e-3, "hdf5", "max9480", n_chunks=4)
         assert isinstance(p, PipelinePoint) and p.overlap and p.n_chunks == 4
 
 
@@ -282,9 +282,9 @@ class TestSweepIntegration:
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get("k") == p
 
-    def test_run_pipeline_sweep_driver(self, tb):
-        recs = tb.run_pipeline_sweep(
-            datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
+    def test_pipeline_kind_sweep_driver(self, tb):
+        recs = tb.run_sweep(
+            "pipeline", datasets=("cesm",), codecs=("szx",), bounds=(1e-3,),
             io_libraries=("hdf5",), n_chunks=4,
         )
         assert len(recs) == 2
@@ -407,8 +407,8 @@ class TestPipelineCLI:
 
         tools = pathlib.Path(__file__).resolve().parents[1] / "tools"
         spec = importlib.util.spec_from_file_location(
-            "check_pipeline_schema", tools / "check_pipeline_schema.py"
+            "check_record_schemas", tools / "check_record_schemas.py"
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        assert mod.check(path) == []
+        assert mod.check("pipeline", path) == []

@@ -311,6 +311,41 @@ class TestScheduler:
         assert window >= total_mb / (campaign.pfs.aggregate_bw_mbps * eff) - 1e-9
 
 
+class TestFixedPointDiagnosis:
+    # Four tenants queueing on three nodes: the contended drains keep moving
+    # start times for several passes before the schedule settles.
+    SLOW = (
+        "nodes=3; a=ranks:96,codec:none; b=ranks:96,codec:none,submit:0.5; "
+        "c=ranks:48,codec:none,submit:1; d=ranks:96,codec:none,submit:1.5"
+    )
+
+    def test_converged_run_needs_several_passes(self, campaign):
+        assert simulate_cluster(parse_scenario(self.SLOW), campaign).iterations == 6
+
+    @pytest.mark.parametrize("cap", [2, 5])
+    def test_cap_hit_names_moving_tenants_and_largest_move(
+        self, campaign, monkeypatch, cap
+    ):
+        import re
+
+        from repro.cluster import scheduler
+        from repro.errors import SimulationError
+
+        monkeypatch.setattr(scheduler, "MAX_FIXED_POINT_ITERATIONS", cap)
+        with pytest.raises(SimulationError) as info:
+            simulate_cluster(parse_scenario(self.SLOW), campaign)
+        msg = str(info.value)
+        assert f"did not reach a fixed point in {cap} iterations" in msg
+        found = re.search(
+            r"(\d+) of 4 tenants' start times still moved in the last pass "
+            r"\(largest move (\S+) s\)",
+            msg,
+        )
+        assert found, msg
+        assert 1 <= int(found.group(1)) <= 4
+        assert float(found.group(2)) > 0.0
+
+
 class TestLifecycle:
     def test_failure_free_compute_is_plain_hold(self, campaign):
         spec = parse_scenario("nodes=1; a=ranks:48,work:600")
