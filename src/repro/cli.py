@@ -639,9 +639,8 @@ def _sweep_table(records, kind_name: str | None = None) -> str:
         kind = registry.get_kind(kind_name)
         if kind.table is not None:
             return kind.table(records)
-    name = type(records[0]).__name__
     for kind in registry.all_kinds():
-        if kind.table is not None and kind.record == name:
+        if kind.table is not None and kind.record is type(records[0]):
             return kind.table(records)
     return format_table(["record"], [[repr(r)] for r in records])
 

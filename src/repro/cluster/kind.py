@@ -273,10 +273,8 @@ CLUSTER_KIND = registry.register(
         name="cluster",
         help="multi-tenant cluster scenarios: FIFO+backfill schedule, "
         "shared-PFS write contention, per-tenant lifecycles",
-        record="ClusterResult",
-        load_record=lambda: ClusterResult,
+        record=ClusterResult,
         expand=_expand_cluster,
-        ops=("cluster_point",),
         spec_fields=("datasets", "cpus", "io_libraries", "scenario"),
         validate=_validate_cluster,
         evaluate={"cluster_point": _evaluate_cluster_point},

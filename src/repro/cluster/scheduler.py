@@ -113,18 +113,32 @@ class JobSpec:
         object.__setattr__(self, "seed", int(self.seed))
         if self.codec is not None and not self.codec:
             object.__setattr__(self, "codec", None)
-        if self.rel_bound <= 0:
-            raise ConfigurationError(f"job {self.name!r}: rel_bound must be positive")
-        if self.submit_s < 0:
-            raise ConfigurationError(f"job {self.name!r}: submit_s must be >= 0")
-        if self.work_s < 0:
-            raise ConfigurationError(f"job {self.name!r}: work_s must be >= 0")
+        # Chained comparisons reject NaN too; only mttf_s and an explicit
+        # interval may be infinite.
+        if not 0 < self.rel_bound < math.inf:
+            raise ConfigurationError(
+                f"job {self.name!r}: rel_bound must be positive and finite"
+            )
+        for label, value in (("submit_s", self.submit_s), ("work_s", self.work_s),
+                             ("downtime_s", self.downtime_s)):
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"job {self.name!r}: {label} must be finite and >= 0"
+                )
         if not self.mttf_s > 0:
             raise ConfigurationError(f"job {self.name!r}: mttf_s must be positive")
-        if self.downtime_s < 0:
-            raise ConfigurationError(f"job {self.name!r}: downtime_s must be >= 0")
-        if not isinstance(self.interval, str):
+        if isinstance(self.interval, str):
+            if self.interval not in ("daly", "young"):
+                raise ConfigurationError(
+                    f"job {self.name!r}: unknown interval policy {self.interval!r}; "
+                    "expected 'daly', 'young', or a number of seconds"
+                )
+        else:
             object.__setattr__(self, "interval", float(self.interval))
+            if not self.interval > 0:
+                raise ConfigurationError(
+                    f"job {self.name!r}: explicit interval must be positive"
+                )
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ fanned out over thread/process pools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.campaign import CampaignResult, MultiNodeCampaign
 from repro.compressors import get_compressor
 from repro.compressors import lossless as _lossless  # noqa: F401 (registration)
 from repro.data.inflate import inflate
@@ -35,6 +35,9 @@ from repro.iolib.base import IOLibrary, get_io_library
 from repro.iolib.pfs import PFSModel
 from repro.metrics.error import check_error_bound, max_rel_error
 from repro.metrics.quality import autocorrelation, psnr
+
+if TYPE_CHECKING:
+    from repro.cluster.campaign import CampaignResult
 
 __all__ = [
     "RoundtripRecord",
@@ -909,6 +912,10 @@ class Testbed:
         fields make a full copy per rank implausible on 192 GB nodes at 48
         ranks; see EXPERIMENTS.md).
         """
+        # Imported here: repro.cluster registers its records through
+        # repro.runtime, which loads this module's experiment kinds.
+        from repro.cluster.campaign import MultiNodeCampaign
+
         spec = get_dataset(dataset)
         payload = payload_nbytes or spec.paper_nbytes // 6
         campaign = MultiNodeCampaign(

@@ -233,10 +233,8 @@ DATASET_KIND = registry.register(
         name="dataset",
         help="per-variable compression-spec resolution through the facade "
         "(auto-tuned codec+bound, costed write)",
-        record="DatasetPoint",
-        load_record=lambda: DatasetPoint,
+        record=DatasetPoint,
         expand=_expand_dataset,
-        ops=("dataset_point",),
         spec_fields=("datasets", "codecs", "bounds", "cpus", "io_libraries",
                      "compression"),
         validate=_validate_dataset,

@@ -16,6 +16,7 @@ bit-identical to playing the phases through a fresh
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.energy.cpus import CPUSpec
@@ -196,8 +197,8 @@ class EnergyMeter:
         now = 0.0
         ticks = 0
         for ph in phases:
-            if ph.duration_s < 0:
-                raise ConfigurationError("phase duration must be non-negative")
+            if not 0 <= ph.duration_s < math.inf:
+                raise ConfigurationError("phase duration must be finite and non-negative")
             remaining = ph.duration_s
             full = 0
             # The 1e-12 floor stops float drift from minting a phantom tick.

@@ -7,7 +7,9 @@ evaluated:
   one :class:`~repro.runtime.registry.ExperimentKind` declaration per kind
   covers spec fields + validation, grid expansion, evaluate entrypoints,
   the record class + JSON schema, CLI flags/tables, and the conformance
-  battery contract (see ``docs/user-guide/experiments.md``);
+  battery contract (see ``docs/user-guide/experiments.md``).  The nine
+  built-in kinds are declared in :mod:`repro.core.kinds`, which this
+  package imports, so they resolve wherever ``repro.runtime`` does;
 - :class:`~repro.runtime.spec.SweepSpec` — a declarative, JSON-round-trip
   grid over (datasets, codecs, error bounds, CPUs, I/O libraries);
 - :class:`~repro.runtime.store.ResultStore` — content-addressed
@@ -62,6 +64,10 @@ from repro.runtime.store import (
     point_key,
     testbed_fingerprint,
 )
+
+# Last: the nine built-in experiment kinds register themselves on import, and
+# their module needs the rest of this package.
+from repro.core import kinds as _builtin_kinds  # noqa: E402,F401
 
 __all__ = [
     "CACHE_VERSION",

@@ -235,8 +235,7 @@ class SweepEngine:
         return point_key(point.op, point.as_kwargs(), testbed_fingerprint(self.testbed))
 
     def _compute_local(self, point: GridPoint):
-        # Registry dispatch: a kind-registered evaluate entrypoint when one
-        # exists for the op, otherwise the Testbed method of the same name.
+        # Registry dispatch: the evaluate callable the op's kind registered.
         return registry.evaluate_op(self.testbed, point.op, point.as_kwargs())
 
     def _attempt_local(self, point: GridPoint, key: str, attempt: int):

@@ -7,9 +7,10 @@ items in a deterministic order that matches the seed ``Testbed`` drivers
 point for point, so the engine can fan the grid out over a pool, memoize
 each point, and still return records in the order every figure expects.
 
-The legal kinds, their validation, and their expansions all live in
+The legal kinds, their validation, and their expansions are looked up in
 :mod:`repro.runtime.registry` — one :class:`~repro.runtime.registry.
-ExperimentKind` declaration per kind.  ``SweepSpec`` itself only owns the
+ExperimentKind` declaration per kind (the built-ins in
+:mod:`repro.core.kinds`).  ``SweepSpec`` itself only owns the
 axis fields and their normalisation; constructing a spec with an unknown
 kind raises :class:`~repro.errors.ConfigurationError` naming every
 registered kind, and a registered third-party kind sweeps through this
@@ -50,11 +51,10 @@ SWEEP_KINDS = (
 class GridPoint:
     """One unit of sweep work: an evaluate operation plus its arguments.
 
-    ``op`` names a :class:`~repro.core.experiments.Testbed` method
-    (``roundtrip``, ``serial_point``, ``io_point``, ``read_point``) or a
-    plugin entrypoint registered by an experiment kind; the kwargs are
-    stored as a sorted tuple of pairs so equal points compare and hash
-    equal regardless of keyword order.
+    ``op`` names an evaluate entrypoint registered by an experiment kind
+    (``roundtrip``, ``serial_point``, ``io_point``, ``cluster_point``, ...);
+    the kwargs are stored as a sorted tuple of pairs so equal points compare
+    and hash equal regardless of keyword order.
     """
 
     op: str

@@ -140,12 +140,14 @@ class CheckpointSpec:
     downtime_s: float = 0.0
 
     def __post_init__(self):
-        if not self.work_s > 0:
-            raise ConfigurationError("work_s must be positive")
+        if not 0 < self.work_s < math.inf:
+            raise ConfigurationError("work_s must be positive and finite")
         if not self.interval_s > 0:
             raise ConfigurationError("interval_s must be positive")
-        if self.ckpt_s < 0 or self.restart_s < 0 or self.downtime_s < 0:
-            raise ConfigurationError("ckpt_s/restart_s/downtime_s must be >= 0")
+        if self.ckpt_s < 0 or self.restart_s < 0:
+            raise ConfigurationError("ckpt_s/restart_s must be >= 0")
+        if not 0 <= self.downtime_s < math.inf:
+            raise ConfigurationError("downtime_s must be finite and >= 0")
         if not self.mttf_s > 0:
             raise ConfigurationError("mttf_s must be positive")
 

@@ -208,6 +208,8 @@ class TestStoreAndSweep:
             SweepSpec(kind="checkpoint", mttfs=())
         with pytest.raises(ConfigurationError):
             SweepSpec(kind="checkpoint", mttfs=(0.0,))
+        with pytest.raises(ConfigurationError, match="mttf"):
+            SweepSpec(kind="checkpoint", mttfs=(math.nan,))
         # The whole scenario validates at construction, not per grid point.
         with pytest.raises(ConfigurationError):
             SweepSpec(kind="checkpoint", interval="weekly")
@@ -219,6 +221,34 @@ class TestStoreAndSweep:
             SweepSpec(kind="checkpoint", downtime_s=-1.0)
         with pytest.raises(ConfigurationError):
             SweepSpec(kind="checkpoint", n_nodes=0)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(work_s=math.inf),
+            dict(work_s=math.nan),
+            dict(downtime_s=math.inf),
+            dict(downtime_s=math.nan),
+            dict(mttfs=(100.0,), work_s=900.0, downtime_s=math.inf),
+        ],
+        ids=lambda axes: ",".join(f"{k}={v}" for k, v in axes.items()),
+    )
+    def test_non_finite_scenario_rejected(self, axes):
+        # Before this check, work_s=inf overflowed in n_checkpoints and
+        # downtime_s=inf hung the failure simulation.
+        with pytest.raises(ConfigurationError, match="finite"):
+            SweepSpec(kind="checkpoint", **axes)
+
+    def test_checkpoint_spec_rejects_non_finite(self):
+        from repro.workloads.checkpoint import CheckpointSpec
+
+        base = dict(work_s=100.0, interval_s=50.0, ckpt_s=5.0, restart_s=5.0,
+                    mttf_s=math.inf)
+        for bad in (dict(work_s=math.inf), dict(work_s=math.nan),
+                    dict(downtime_s=math.inf), dict(downtime_s=math.nan)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                CheckpointSpec(**{**base, **bad})
+        assert CheckpointSpec(**base).n_checkpoints == 2
 
     def test_spec_json_round_trip_with_inf(self):
         spec = SweepSpec(kind="checkpoint", mttfs=(float("inf"), 3600.0))

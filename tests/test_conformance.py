@@ -185,10 +185,10 @@ class TestConformance:
     def test_schema_matches_record_fields(self, testbed, kind):
         """The derived JSON schema covers the record dataclass exactly."""
         schema = kind.json_schema()
-        names = {f.name for f in dataclasses.fields(kind.load_record())}
+        names = {f.name for f in dataclasses.fields(kind.record)}
         assert set(schema["properties"]) == names | {"__record__"}
         assert set(schema["required"]) == names | {"__record__"}
-        assert schema["properties"]["__record__"] == {"const": kind.record}
+        assert schema["properties"]["__record__"] == {"const": kind.record.__name__}
 
     def test_spec_fields_are_real(self, testbed, kind):
         """Every declared spec field exists on SweepSpec."""
@@ -197,7 +197,7 @@ class TestConformance:
 
     def test_record_registered_with_store(self, testbed, kind):
         """The kind's record class is reachable through the store's type map."""
-        assert registry.record_types()[kind.record] is kind.load_record()
+        assert registry.record_types()[kind.record.__name__] is kind.record
 
 
 # -- registry/spec coherence --------------------------------------------------

@@ -157,6 +157,14 @@ class TestPapiMonitor:
 
 
 class TestEnergyMeter:
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_phase_rejected(self, duration):
+        # Before this check an infinite phase never returned and a NaN one
+        # measured 0 J.
+        meter = EnergyMeter(get_cpu("plat8160"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            meter.measure([Phase(0.03, 2), Phase(duration, 2)])
+
     def test_measure_compute(self):
         meter = EnergyMeter(get_cpu("plat8160"))
         report = meter.measure_compute(1.0, threads=48)

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 
 import pytest
@@ -69,10 +73,8 @@ def make_toy_kind(name="toy", **overrides):
     members = dict(
         name=name,
         help="a third-party demonstration kind",
-        record="ToyPoint",
-        load_record=lambda: ToyPoint,
+        record=ToyPoint,
         expand=_toy_expand,
-        ops=("toy_point",),
         evaluate={"toy_point": _toy_evaluate},
         spec_fields=("datasets", "codecs", "bounds"),
         invariants=_toy_invariants,
@@ -109,13 +111,13 @@ class TestRegistrationProtocol:
             {"name": ""},
             {"help": ""},
             {"record": ""},
-            {"load_record": None},
-            {"load_record": "ToyPoint"},
+            {"record": None},
+            {"record": "ToyPoint"},
             {"expand": None},
             {"expand": "expand"},
-            {"ops": ()},
-            {"ops": ("toy_point", "")},
-            {"ops": "toy_point"},
+            {"evaluate": {}},
+            {"evaluate": {"toy_point": None}},
+            {"evaluate": "toy_point"},
             {"spec_fields": "datasets"},
         ],
         ids=lambda o: f"{next(iter(o))}={next(iter(o.values()))!r}",
@@ -130,17 +132,13 @@ class TestRegistrationProtocol:
 
     def test_evaluate_must_map_declared_ops(self):
         with pytest.raises(ConfigurationError, match="evaluate"):
-            registry.register(
-                make_toy_kind(evaluate={"other_op": _toy_evaluate})
-            )
+            registry.register(make_toy_kind(evaluate={"": _toy_evaluate}))
 
     def test_op_conflict_with_builtin_rejected(self):
-        # io_point is a Testbed-method op; a plugin claiming it with its own
+        # io_point is a builtin op; a plugin claiming it with its own
         # callable would silently change every io sweep's results.
         with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register(
-                make_toy_kind(ops=("io_point",), evaluate={"io_point": _toy_evaluate})
-            )
+            registry.register(make_toy_kind(evaluate={"io_point": _toy_evaluate}))
 
     def test_non_callable_optional_members_rejected(self):
         with pytest.raises(ConfigurationError, match="must be callable"):
@@ -176,6 +174,47 @@ class TestRegistrationProtocol:
         from repro.core.experiments import DvfsPoint as RealDvfsPoint
 
         assert registry.record_types()["DvfsPoint"] is RealDvfsPoint
+
+
+# -- the builtin kinds resolve wherever repro.runtime is imported -------------
+
+_FRESH_INTERPRETER = textwrap.dedent(
+    """
+    import multiprocessing
+
+    from repro.runtime import SweepEngine, SweepSpec, ResultStore
+
+    builtins = ("serial", "thread", "quality", "lossless", "io", "read",
+                "pipeline", "dvfs", "checkpoint")
+    for kind in builtins:
+        SweepSpec(kind=kind)
+    # Spawned workers start from a bare interpreter: they see the builtin
+    # kinds only through the import of repro.runtime that unpickling does.
+    multiprocessing.set_start_method("spawn")
+    from repro.core.experiments import Testbed
+
+    # Two uncompressed io points: a single pending point skips the pool.
+    spec = SweepSpec(kind="io", datasets=("cesm",), codecs=(), cpus=("max9480",),
+                     io_libraries=("hdf5", "netcdf"))
+    engine = SweepEngine(Testbed(scale="tiny"), store=ResultStore(),
+                         executor="process", max_workers=1)
+    records = engine.run(spec)
+    print(*(type(r).__name__ for r in records), engine.stats.computed)
+    """
+)
+
+
+class TestBuiltinKindsImport:
+    def test_resolve_after_runtime_import_and_in_process_workers(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_INTERPRETER], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["IOPoint", "IOPoint", "2"]
 
 
 # -- clean failures for unknown kinds -----------------------------------------

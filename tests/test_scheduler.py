@@ -122,6 +122,29 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             JobSpec(name="a", ranks=8, **kwargs)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nodes=1; a=ranks:8,work:inf",
+            "nodes=1; a=ranks:8,downtime:inf,work:100,mttf:10",
+            "nodes=1; a=ranks:8,submit:nan",
+            "nodes=1; a=ranks:8,submit:inf",
+            "nodes=1; a=ranks:8,work:nan",
+            "nodes=1; a=ranks:8,downtime:nan",
+            "nodes=1; a=ranks:8,bound:nan",
+            "nodes=1; a=ranks:8,bound:inf",
+            "nodes=1; a=ranks:8,interval:nan",
+            "nodes=1; a=ranks:8,interval:0",
+            "nodes=1; a=ranks:8,interval:weekly",
+        ],
+    )
+    def test_non_finite_job_parameters_rejected(self, text):
+        # At parse time, naming the job: before this check, work:inf and
+        # downtime:inf hung the simulator, NaN simulated as if valid, and a
+        # bad interval failed only inside a simulation that used it.
+        with pytest.raises(ConfigurationError, match="job 'a'"):
+            parse_scenario(text)
+
     def test_bad_job_names_rejected(self):
         for name in ("", "a;b", "a,b", "a=b", "a:b", "a b"):
             with pytest.raises(ConfigurationError):
